@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gqbe/internal/testkg"
 )
 
 func TestQueryCtxExpiredDeadline(t *testing.T) {
@@ -84,5 +86,30 @@ func TestStatsStoppedReason(t *testing.T) {
 	}
 	if capped.Stats.Terminated {
 		t.Error("capped query reported Terminated (top-k proof) — it stopped on the safety valve")
+	}
+}
+
+// TestStatsRowBudgetSkips checks that the public Stats carry the engine's
+// row-budget skip count on a query whose budget forces skips.
+func TestStatsRowBudgetSkips(t *testing.T) {
+	g := testkg.Fig1Padded()
+	e, err := fromGraph(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{K: 10, MQGSize: 10, MaxRows: 8}
+	res, err := e.Query([]string{"Jerry Yang", "Yahoo!"}, opts)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	want, err := e.eng.QueryCtx(context.Background(), testkg.Tuple(g, "Jerry Yang", "Yahoo!"), opts.toCore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.RowBudgetSkips == 0 {
+		t.Fatalf("fixture too small: no row-budget skips at MaxRows=%d", opts.MaxRows)
+	}
+	if res.Stats.RowBudgetSkips != want.Stats.RowBudgetSkips {
+		t.Errorf("Stats.RowBudgetSkips = %d, engine skipped %d", res.Stats.RowBudgetSkips, want.Stats.RowBudgetSkips)
 	}
 }

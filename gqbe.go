@@ -59,8 +59,10 @@ type Options struct {
 	Depth int
 	// MQGSize is the maximal-query-graph edge budget r (default 15).
 	MQGSize int
-	// MaxRows bounds the intermediate join size per query graph; queries
-	// exceeding it fail rather than exhaust memory (default 5M rows).
+	// MaxRows bounds the intermediate join size per query graph (default 5M
+	// rows). A lattice query graph whose join would exceed it is skipped
+	// rather than allowed to exhaust memory — the search goes on without
+	// it, and Stats.RowBudgetSkips counts the skips.
 	MaxRows int
 	// MaxEvaluations caps evaluated lattice nodes (default unlimited).
 	MaxEvaluations int
@@ -144,6 +146,9 @@ type Stats struct {
 	// NullNodes is the number of evaluated query graphs with no answers
 	// (each one triggers the lattice pruning of Alg. 3).
 	NullNodes int
+	// RowBudgetSkips is the number of query graphs skipped because their
+	// join exceeded Options.MaxRows.
+	RowBudgetSkips int
 	// NodesGenerated is the number of distinct lattice nodes the search
 	// ever admitted as candidates.
 	NodesGenerated int
@@ -481,6 +486,7 @@ func (e *Engine) wrap(res *core.Result, withMQG bool) *Result {
 			MQGEdges:           res.Stats.MQGEdges,
 			NodesEvaluated:     res.Stats.NodesEvaluated,
 			NullNodes:          res.Stats.NullNodes,
+			RowBudgetSkips:     res.Stats.RowBudgetSkips,
 			NodesGenerated:     res.Stats.NodesGenerated,
 			NodesPruned:        res.Stats.NodesPruned,
 			FrontierRecomputes: res.Stats.FrontierRecomputes,

@@ -92,10 +92,12 @@ type Stats struct {
 	Processing time.Duration
 	// MQGEdges is the edge cardinality of the (merged) MQG.
 	MQGEdges int
-	// NodesEvaluated / NullNodes / Stopped — and the lattice-shape counters
-	// NodesGenerated / NodesPruned / FrontierRecomputes — mirror topk.Result.
+	// NodesEvaluated / NullNodes / RowBudgetSkips / Stopped — and the
+	// lattice-shape counters NodesGenerated / NodesPruned /
+	// FrontierRecomputes — mirror topk.Result.
 	NodesEvaluated     int
 	NullNodes          int
+	RowBudgetSkips     int
 	NodesGenerated     int
 	NodesPruned        int
 	FrontierRecomputes int
@@ -389,6 +391,7 @@ func (e *Engine) searchMQG(ctx context.Context, m *mqg.MQG, exclude [][]graph.No
 			MQGEdges:           len(m.Sub.Edges),
 			NodesEvaluated:     tres.NodesEvaluated,
 			NullNodes:          tres.NullNodes,
+			RowBudgetSkips:     tres.RowBudgetSkips,
 			NodesGenerated:     tres.NodesGenerated,
 			NodesPruned:        tres.NodesPruned,
 			FrontierRecomputes: tres.FrontierRecomputes,

@@ -7,7 +7,9 @@ import (
 
 	"gqbe/internal/graph"
 	"gqbe/internal/kgsynth"
+	"gqbe/internal/lattice"
 	"gqbe/internal/testkg"
+	"gqbe/internal/topk"
 )
 
 func TestQueryEndToEndFig1(t *testing.T) {
@@ -37,6 +39,35 @@ func TestQueryEndToEndFig1(t *testing.T) {
 	}
 	if res.Stats.Discovery <= 0 || res.Stats.Processing <= 0 {
 		t.Errorf("timings not populated: %+v", res.Stats)
+	}
+}
+
+// TestStatsRowBudgetSkips checks that Stats.RowBudgetSkips reports the
+// search's own count: the row-budget case skips lattice nodes, and a direct
+// topk search over the same MQG skips exactly as many.
+func TestStatsRowBudgetSkips(t *testing.T) {
+	g := testkg.Fig1Padded()
+	e := NewEngine(g)
+	tuple := testkg.Tuple(g, "Jerry Yang", "Yahoo!")
+	opts := Options{K: 10, MQGSize: 10, MaxRows: 8}.Normalize()
+	res, err := e.QueryCtx(context.Background(), tuple, opts)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	lat, err := lattice.NewCtx(context.Background(), res.MQG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tres, err := topk.SearchCtx(context.Background(), e.store, lat, [][]graph.NodeID{tuple},
+		topk.Options{K: opts.K, KPrime: opts.KPrime, MaxRows: opts.MaxRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tres.RowBudgetSkips == 0 {
+		t.Fatalf("fixture too small: no row-budget skips at MaxRows=%d", opts.MaxRows)
+	}
+	if res.Stats.RowBudgetSkips != tres.RowBudgetSkips {
+		t.Errorf("Stats.RowBudgetSkips = %d, topk skipped %d", res.Stats.RowBudgetSkips, tres.RowBudgetSkips)
 	}
 }
 

@@ -24,8 +24,8 @@ var (
 // benchFixture discovers the MQG and lattice for workload query F1 over the
 // kgsynth Freebase-like graph (seed 42) once per process; the benchmarks
 // re-evaluate lattice nodes against the shared store.
-func benchFixture(b *testing.B) (*storage.Store, *lattice.Lattice) {
-	b.Helper()
+func benchFixture(tb testing.TB) (*storage.Store, *lattice.Lattice) {
+	tb.Helper()
 	benchOnce.Do(func() {
 		ds := kgsynth.Freebase(kgsynth.Config{Seed: 42})
 		benchG = ds.Graph

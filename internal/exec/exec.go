@@ -11,8 +11,13 @@
 //
 // Materialized answers live in flat arenas: a lattice node's rows are one
 // backing []graph.NodeID with stride = slot count (Rows), not millions of
-// individual row slices. Arenas grow geometrically and are recycled across
-// lattice nodes within one evaluator, so a search's join traffic is a
+// individual row slices. Every join sizes its output before writing a row: a
+// read-only pass sums the probe rows' posting-list lengths, and only when
+// that bound passes the row budget does an exact count (also read-only)
+// decide whether the node fits. The arena is then cut once at exactly that
+// size and filled by indexed writes — never regrown — and a node over the
+// budget costs the counting reads but no arena at all. Arenas are recycled
+// across lattice nodes within one evaluator, so a search's join traffic is a
 // handful of large allocations instead of per-row garbage.
 package exec
 
@@ -353,7 +358,7 @@ func (ev *Evaluator) Evaluate(q lattice.EdgeSet) (*Rows, error) {
 	var rows *Rows
 	var err error
 	if childEdge >= 0 {
-		rows, err = ev.joinEdge(childRows, childEdge)
+		rows, err = ev.joinEdge(childRows, q&^lattice.Bit(childEdge), childEdge)
 	} else {
 		rows, err = ev.evaluateScratch(q)
 	}
@@ -384,10 +389,6 @@ func (ev *Evaluator) install(q lattice.EdgeSet, rows *Rows) *Rows {
 // Intermediate row sets are recycled as soon as the next join supersedes
 // them — only the final result keeps its arena.
 func (ev *Evaluator) evaluateScratch(q lattice.EdgeSet) (*Rows, error) {
-	remaining := ev.lat.EdgeIndices(q)
-	if len(remaining) == 0 {
-		return nil, errors.New("exec: empty query graph")
-	}
 	tableLen := func(i int) int {
 		t, ok := ev.store.Table(ev.lat.M.Sub.Edges[i].Label)
 		if !ok {
@@ -396,9 +397,10 @@ func (ev *Evaluator) evaluateScratch(q lattice.EdgeSet) (*Rows, error) {
 		return t.Len()
 	}
 	// Pick the globally smallest table as the base relation.
-	first := remaining[0]
-	for _, i := range remaining[1:] {
-		if tableLen(i) < tableLen(first) {
+	first := -1
+	for r := uint64(q); r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
+		if first == -1 || tableLen(i) < tableLen(first) {
 			first = i
 		}
 	}
@@ -406,18 +408,13 @@ func (ev *Evaluator) evaluateScratch(q lattice.EdgeSet) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	bound := map[int]bool{ev.srcSlot[first]: true, ev.dstSlot[first]: true}
-	rest := make([]int, 0, len(remaining)-1)
-	for _, i := range remaining {
-		if i != first {
-			rest = append(rest, i)
-		}
-	}
-	for len(rest) > 0 {
+	joined := lattice.Bit(first)
+	for joined != q {
 		// Choose the connected edge with the smallest table.
 		pick := -1
-		for _, i := range rest {
-			if !bound[ev.srcSlot[i]] && !bound[ev.dstSlot[i]] {
+		for r := uint64(q &^ joined); r != 0; r &= r - 1 {
+			i := bits.TrailingZeros64(r)
+			if !ev.covers(joined, ev.srcSlot[i]) && !ev.covers(joined, ev.dstSlot[i]) {
 				continue
 			}
 			if pick == -1 || tableLen(i) < tableLen(pick) {
@@ -425,25 +422,15 @@ func (ev *Evaluator) evaluateScratch(q lattice.EdgeSet) (*Rows, error) {
 			}
 		}
 		if pick == -1 {
-			// q is weakly connected, so this cannot happen for valid query
-			// graphs; guard against misuse with invalid edge sets.
-			return nil, fmt.Errorf("exec: query graph %b is not weakly connected", q)
+			return nil, errDisconnected(q)
 		}
-		next, err := ev.joinEdge(rows, pick)
+		next, err := ev.joinEdge(rows, joined, pick)
 		if err != nil {
 			return nil, err
 		}
 		ev.recycle(rows) // superseded intermediate: arena goes back to the pool
 		rows = next
-		bound[ev.srcSlot[pick]] = true
-		bound[ev.dstSlot[pick]] = true
-		out := rest[:0]
-		for _, i := range rest {
-			if i != pick {
-				out = append(out, i)
-			}
-		}
-		rest = out
+		joined |= lattice.Bit(pick)
 	}
 	return rows, nil
 }
@@ -487,94 +474,158 @@ func (ev *Evaluator) scanEdge(i int) (*Rows, error) {
 	return out, nil
 }
 
-// joinEdge is the hash-join of §V-A: the rows are the probe relation, the
-// label table of edge i is the build relation. Depending on which endpoint
-// slots are already bound, the join verifies the edge, extends rows by one
-// new binding, or (never for valid lattice parents) both endpoints are new.
-// Output rows are appended to a fresh arena; the probe rows are not touched.
+// joinEdge is the hash-join of §V-A: the rows — child's answers — are the
+// probe relation, the label table of edge i is the build relation. Edge i
+// must share a node with child: if both endpoint slots are bound the join
+// verifies the edge, otherwise it extends each row by the one new binding.
+// countEdge sizes the output first, so the rows are written into one arena
+// of exactly that size; the probe rows are not touched.
 //
 //gqbe:hotpath
-func (ev *Evaluator) joinEdge(rows *Rows, i int) (*Rows, error) {
+func (ev *Evaluator) joinEdge(rows *Rows, child lattice.EdgeSet, i int) (*Rows, error) {
 	ss, ds := ev.srcSlot[i], ev.dstSlot[i]
+	bs, bd := ev.covers(child, ss), ev.covers(child, ds)
+	if !bs && !bd {
+		return nil, errDisconnected(child | lattice.Bit(i))
+	}
 	t, ok := ev.store.Table(ev.lat.M.Sub.Edges[i].Label)
 	if !ok {
 		return ev.newRows(0), nil // label with no edges: no answers
 	}
-	nrows := rows.Len()
-	out := ev.newRows(nrows)
-	stride := out.stride
-	count := 0
-	// push copies src into the arena, then overwrites slot (when >= 0) with
-	// v — the one-copy equivalent of the old extend-then-append.
-	//gqbelint:ignore hotalloc one closure per join call, amortized over every output row; per-row state lives in the arena
-	push := func(src Row, slot int, v graph.NodeID) error {
-		out.data = append(out.data, src...)
-		if slot >= 0 {
-			out.data[len(out.data)-stride+slot] = v
-		}
-		count++
-		if count > ev.maxRows {
-			return fmt.Errorf("%w: joining edge %d", ErrTooManyRows, i)
-		}
-		if count%cancelCheckInterval == 0 {
-			return ev.ctxErr()
-		}
-		return nil
+	verify := bs && bd
+	size, err := ev.countEdge(rows, t, i, verify, bs)
+	if err != nil {
+		return nil, err
 	}
-	for n := 0; n < nrows; n++ {
+	if size == 0 {
+		return ev.newRows(0), nil
+	}
+	ext := ds // the slot a new binding fills
+	if !bs {
+		ext = ss
+	}
+	out := ev.newRows(size)
+	stride := out.stride
+	data := out.data[:size*stride]
+	w := 0
+	for n, nrows := 0, rows.Len(); n < nrows; n++ {
 		if n%cancelCheckInterval == 0 {
 			if err := ev.ctxErr(); err != nil {
 				return nil, err
 			}
 		}
 		row := rows.Row(n)
-		bs, bd := row[ss] != Unbound, row[ds] != Unbound
-		switch {
-		case bs && bd:
+		if verify {
 			if t.Has(row[ss], row[ds]) {
-				if err := push(row, -1, 0); err != nil {
-					return nil, err
+				copy(data[w:w+stride], row)
+				w += stride
+			}
+			continue
+		}
+		for _, v := range matches(t, row, ss, ds, bs) {
+			if ev.conflicts(row, v) {
+				continue
+			}
+			dst := data[w : w+stride]
+			copy(dst, row)
+			dst[ext] = v
+			w += stride
+		}
+	}
+	out.data = data[:w]
+	return out, nil
+}
+
+// countEdge returns how many rows joinEdge(rows, ·, i) must make room for,
+// or ErrTooManyRows if the join exceeds the row budget. The first pass reads
+// only posting-list lengths (one per row when verifying) and writes nothing;
+// that upper bound is the answer whenever it fits the budget. Only a bound
+// past the budget pays for an exact count with the fill's own injectivity
+// and edge checks, which stops as soon as the count passes the budget — so
+// the count exceeds the budget exactly when a full join would, and an
+// over-budget node never allocates an arena.
+//
+//gqbe:hotpath
+func (ev *Evaluator) countEdge(rows *Rows, t *storage.Table, i int, verify, fwd bool) (int, error) {
+	ss, ds := ev.srcSlot[i], ev.dstSlot[i]
+	nrows := rows.Len()
+	bound := nrows
+	if !verify {
+		bound = 0
+		for n := 0; n < nrows; n++ {
+			if n%cancelCheckInterval == 0 {
+				if err := ev.ctxErr(); err != nil {
+					return 0, err
 				}
 			}
-		case bs:
-			for _, obj := range t.Objects(row[ss]) {
-				if ev.conflicts(row, obj) {
-					continue
-				}
-				if err := push(row, ds, obj); err != nil {
-					return nil, err
-				}
-			}
-		case bd:
-			for _, subj := range t.Subjects(row[ds]) {
-				if ev.conflicts(row, subj) {
-					continue
-				}
-				if err := push(row, ss, subj); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			// Both endpoints unbound: cartesian extension. Valid parents
-			// always share a node with their child, so this only occurs for
-			// hand-built edge sets; support it for completeness.
-			subj, obj := t.PairCols()
-			for k, s := range subj {
-				o := obj[k]
-				if ev.conflicts(row, s) || ev.conflicts(row, o) {
-					continue
-				}
-				if ss != ds && s == o {
-					continue
-				}
-				if err := push(row, ss, s); err != nil {
-					return nil, err
-				}
-				out.data[len(out.data)-stride+ds] = o
+			row := rows.Row(n)
+			if fwd {
+				bound += t.OutDegree(row[ss])
+			} else {
+				bound += t.InDegree(row[ds])
 			}
 		}
 	}
-	return out, nil
+	if bound <= ev.maxRows {
+		return bound, nil
+	}
+	count := 0
+	for n := 0; n < nrows; n++ {
+		if n%cancelCheckInterval == 0 {
+			if err := ev.ctxErr(); err != nil {
+				return 0, err
+			}
+		}
+		row := rows.Row(n)
+		if verify {
+			if t.Has(row[ss], row[ds]) {
+				count++
+			}
+		} else {
+			for _, v := range matches(t, row, ss, ds, fwd) {
+				if !ev.conflicts(row, v) {
+					count++
+				}
+			}
+		}
+		if count > ev.maxRows {
+			//gqbelint:ignore hotalloc cold error path: the row-budget abort runs at most once per evaluation
+			return 0, fmt.Errorf("%w: joining edge %d", ErrTooManyRows, i)
+		}
+	}
+	return count, nil
+}
+
+// matches returns the build-side candidates for the unbound endpoint of the
+// query edge (ss, ds) in row: the objects of row[ss] when fwd, otherwise
+// the subjects of row[ds].
+//
+//gqbe:hotpath
+func matches(t *storage.Table, row Row, ss, ds int, fwd bool) []graph.NodeID {
+	if fwd {
+		return t.Objects(row[ss])
+	}
+	return t.Subjects(row[ds])
+}
+
+// covers reports whether slot s is an endpoint of some edge of q, i.e.
+// bound in every row of q's answers.
+//
+//gqbe:hotpath
+func (ev *Evaluator) covers(q lattice.EdgeSet, s int) bool {
+	for r := uint64(q); r != 0; r &= r - 1 {
+		j := bits.TrailingZeros64(r)
+		if ev.srcSlot[j] == s || ev.dstSlot[j] == s {
+			return true
+		}
+	}
+	return false
+}
+
+// errDisconnected reports an edge set the joins cannot evaluate: valid
+// lattice nodes are weakly connected, so only hand-built edge sets get here.
+func errDisconnected(q lattice.EdgeSet) error {
+	return fmt.Errorf("exec: query graph %b is not weakly connected", q)
 }
 
 // conflicts reports whether binding v would violate injectivity against the
