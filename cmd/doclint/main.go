@@ -6,12 +6,14 @@
 //     `go doc gqbe` usable (the same rule as revive's `exported`, without
 //     pulling in a linter dependency);
 //   - doc links: every relative markdown link in the given files and
-//     directories must resolve to an existing file, so docs/ cannot rot
-//     silently as the tree moves.
+//     directories must resolve to an existing file, and so must every
+//     *.md name cited in a Go comment under a `dir/...` entry, so neither
+//     docs/ nor the code's pointers into it can rot silently as the tree
+//     moves.
 //
 // Usage:
 //
-//	doclint -pkg . -links README.md,docs
+//	doclint -pkg . -links README.md,docs,./...
 //
 // Exit status is non-zero if any finding is reported; each finding is one
 // line on stderr.
@@ -32,7 +34,7 @@ import (
 
 func main() {
 	pkgs := flag.String("pkg", "", "comma-separated package directories whose exported symbols must be documented")
-	links := flag.String("links", "", "comma-separated markdown files or directories whose relative links must resolve")
+	links := flag.String("links", "", "comma-separated markdown files or directories whose relative links must resolve; a dir/... entry checks the *.md names cited in the Go comments under dir")
 	flag.Parse()
 
 	var findings []string
@@ -159,29 +161,42 @@ var (
 )
 
 // lintLinks checks every relative link in path (a .md file, or a directory
-// scanned recursively for .md files) resolves to an existing file.
+// scanned recursively for .md files) resolves to an existing file. A path
+// of the form dir/... instead checks the *.md names cited in the comments of
+// every .go file under dir, skipping hidden directories and testdata.
 func lintLinks(path string) ([]string, error) {
-	info, err := os.Stat(path)
+	root, goTree := strings.CutSuffix(path, "/...")
+	suffix, lint := ".md", lintFileLinks
+	if goTree {
+		suffix, lint = ".go", lintGoComments
+	}
+	info, err := os.Stat(root)
 	if err != nil {
 		return nil, err
 	}
 	var files []string
 	if info.IsDir() {
-		err := filepath.WalkDir(path, func(p string, d os.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(p, ".md") {
+		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && p != root && goTree && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(p, suffix) {
 				files = append(files, p)
 			}
-			return err
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		files = []string{path}
+		files = []string{root}
 	}
 	var findings []string
 	for _, f := range files {
-		fs, err := lintFileLinks(f)
+		fs, err := lint(f)
 		if err != nil {
 			return nil, err
 		}
@@ -215,4 +230,48 @@ func lintFileLinks(file string) ([]string, error) {
 		}
 	}
 	return findings, nil
+}
+
+// mdName matches a markdown file name cited in a Go comment ("see
+// docs/OPERATIONS.md", "README.md#flags"). It must start the comment or
+// follow whitespace, a paren, a quote or a backquote, so the path inside a
+// URL is not mistaken for a repository file.
+var mdName = regexp.MustCompile("(?:^|[\\s(`\"'])(\\w[\\w./-]*\\.md)\\b")
+
+// lintGoComments checks every *.md name cited in file's comments resolves
+// relative to the file's module root (see moduleRoot), the form the tree's
+// citations take ("docs/OPERATIONS.md").
+func lintGoComments(file string) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	root := moduleRoot(filepath.Dir(file))
+	var findings []string
+	for _, group := range f.Comments {
+		for _, c := range group.List {
+			for _, m := range mdName.FindAllStringSubmatch(c.Text, -1) {
+				if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+					findings = append(findings, fmt.Sprintf("%s: comment cites missing file %q", fset.Position(c.Pos()), m[1]))
+				}
+			}
+		}
+	}
+	return findings, nil
+}
+
+// moduleRoot returns the nearest directory at or above dir that holds a
+// go.mod, or dir itself if there is none.
+func moduleRoot(dir string) string {
+	for d := dir; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return dir
+		}
+		d = parent
+	}
 }

@@ -93,3 +93,36 @@ func TestLintLinks(t *testing.T) {
 		t.Errorf("findings = %v, want exactly 3 dead links", findings)
 	}
 }
+
+func TestLintGoComments(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "go.mod"), "module m\n")
+	write(t, filepath.Join(dir, "docs", "OPS.md"), "# Ops\n")
+	write(t, filepath.Join(dir, "pkg", "x.go"), `// Package pkg is described in docs/OPS.md#flags, but GONE.md was
+// deleted. https://example.com/REMOTE.md is not a repo file.
+package pkg
+
+/* (see also docs/MISSING.md) */
+var s = "LITERAL.md is not a comment"
+`)
+	write(t, filepath.Join(dir, "pkg", "testdata", "t.go"), "// SKIPPED.md\npackage t\n")
+	write(t, filepath.Join(dir, ".hidden", "h.go"), "// HIDDEN.md\npackage h\n")
+	findings, err := lintLinks(filepath.Join(dir, "..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(findings, "\n")
+	for _, want := range []string{`"GONE.md"`, `"docs/MISSING.md"`} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing finding for %s in:\n%s", want, joined)
+		}
+	}
+	if len(findings) != 2 {
+		t.Errorf("findings = %v, want exactly 2 missing files", findings)
+	}
+	// Without the /... suffix the directory is a markdown tree: its Go
+	// comments are not checked.
+	if findings, err := lintLinks(dir); err != nil || len(findings) != 0 {
+		t.Errorf("markdown walk: findings = %v, err = %v, want none", findings, err)
+	}
+}

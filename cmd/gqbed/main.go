@@ -90,8 +90,6 @@ func main() {
 		slowQueryMS   = flag.Int("slow-query-ms", 0, "log a structured slow-query record (full span breakdown) for requests slower than this many milliseconds; 0 disables")
 
 		buildShards   = flag.Int("build-shards", 0, "concurrent workers for the offline store build (0 = GOMAXPROCS, 1 = sequential)")
-		shardIndex    = flag.Int("shard-index", 0, "this daemon's answer-space shard index in a fleet of -shard-count (see cmd/kgshard; auto-adopted from shard snapshots)")
-		shardCount    = flag.Int("shard-count", 0, "fleet shard count; 0/1 = unsharded. Each shard runs the full search and keeps only the answers it owns; a gqberouter in front merges them bit-identically")
 		snapshotPath  = flag.String("snapshot", "", "binary engine snapshot path: loaded instead of -graph when it exists")
 		snapshotWrite = flag.Bool("snapshot-write", false, "after building from -graph, write the engine snapshot to -snapshot")
 		snapshotMmap  = flag.Bool("snapshot-mmap", false, "open -snapshot memory-mapped zero-copy (O(sections) startup, pages shared with the page cache) instead of decoding it onto the heap; falls back to the heap loader, then -graph, if mapping fails")
@@ -130,10 +128,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("gqbed: %v", err)
 	}
-	eng, err = applyShard(eng, *shardIndex, *shardCount)
-	if err != nil {
-		log.Fatalf("gqbed: %v", err)
-	}
 	info := eng.BuildInfo()
 	how := fmt.Sprintf("built (%d shards)", info.Shards)
 	if info.FromSnapshot {
@@ -144,9 +138,6 @@ func main() {
 	}
 	log.Printf("gqbed: %d entities, %d facts, %d predicates %s in %v",
 		eng.NumEntities(), eng.NumFacts(), eng.NumPredicates(), how, info.BuildTime.Round(time.Millisecond))
-	if i, n := eng.Shard(); n > 1 {
-		log.Printf("gqbed: serving answer-space shard %d of %d", i, n)
-	}
 
 	// The structured logger feeds slow-query and trace records; -trace drops
 	// the level to debug so per-query records are visible.
@@ -176,14 +167,7 @@ func main() {
 		// without a restart. A corrupt candidate is rejected by the loader
 		// and the serving engine stays untouched.
 		Reload: func() (*gqbe.Engine, error) {
-			e, err := loadEngine(*graphPath, *snapshotPath, *buildShards, false, *snapshotMmap)
-			if err != nil {
-				return nil, err
-			}
-			// The reloaded engine must keep serving the same answer slice:
-			// a mismatched shard snapshot is rejected and the old engine
-			// stays, exactly like a corrupt one.
-			return applyShard(e, *shardIndex, *shardCount)
+			return loadEngine(*graphPath, *snapshotPath, *buildShards, false, *snapshotMmap)
 		},
 		StaleServe:             *staleServe,
 		StaleTTL:               *staleTTL,
@@ -269,22 +253,6 @@ func main() {
 		log.Printf("gqbed: shutdown: %v", err)
 	}
 	log.Printf("gqbed: bye")
-}
-
-// applyShard reconciles the -shard-index/-shard-count flags with any shard
-// identity the engine already carries (a v3 snapshot from cmd/kgshard
-// records one). Flags absent: the snapshot identity — or none — stands.
-// Flags present: they must agree with a recorded identity; serving a
-// different slice than the file was partitioned for would silently drop
-// answers fleet-wide, so a mismatch refuses to start rather than guess.
-func applyShard(eng *gqbe.Engine, index, count int) (*gqbe.Engine, error) {
-	if count <= 1 {
-		return eng, nil
-	}
-	if si, sc := eng.Shard(); sc > 1 && (si != index || sc != count) {
-		return nil, fmt.Errorf("snapshot is shard %d/%d but flags say %d/%d", si, sc, index, count)
-	}
-	return eng.WithShard(index, count)
 }
 
 // loadEngine resolves the startup path: an existing snapshot wins; otherwise

@@ -7,10 +7,9 @@
 // File layout:
 //
 //	[8]byte magic "GQBESNAP"
-//	u32     format version (2 unsharded, 3 sharded)
+//	u32     format version (currently 2)
 //	graph section   (internal/graph.AppendSnapshot)
 //	store section   (internal/storage.AppendSnapshot)
-//	shard section   (v3 only: u32 index, u32 count, string scheme)
 //	u32     CRC-32C of every preceding byte
 //
 // Version 2 pads every string blob to a 4-byte boundary and drops the
@@ -18,12 +17,6 @@
 // relative to the file start. That is what makes the mapped open
 // (OpenSnapshotMapped) zero-copy: columns are reinterpreted in place rather
 // than decoded, and the engine's arenas borrow the mapping.
-//
-// Version 3 is v2 plus a trailing shard section giving the engine a fleet
-// shard identity (cmd/kgshard writes these). An unsharded engine still
-// writes v2 byte for byte, so sharding changes nothing for existing
-// snapshots; both loaders accept either version and an engine loaded from a
-// v3 file adopts the recorded identity.
 //
 // The checksum is verified before the engine is returned — streamed for the
 // heap loader, via one buffered pass (snapio.ChecksumFile) for the mapped
@@ -44,83 +37,33 @@ import (
 	"gqbe/internal/snapio"
 	"gqbe/internal/stats"
 	"gqbe/internal/storage"
-	"gqbe/internal/topk"
 )
 
 // snapshotMagic identifies an engine snapshot file.
 var snapshotMagic = [8]byte{'G', 'Q', 'B', 'E', 'S', 'N', 'A', 'P'}
 
-// SnapshotVersion is the current snapshot format version for unsharded
-// engines. Readers reject anything but it and SnapshotVersionShard with
-// snapio.ErrVersion. v2 aligns all columns for the zero-copy mapped loader;
-// v1 files must be rebuilt.
+// SnapshotVersion is the current snapshot format version. Readers reject
+// any other version with snapio.ErrVersion. v2 aligns all columns for the
+// zero-copy mapped loader; v1 files must be rebuilt.
 const SnapshotVersion = 2
 
-// SnapshotVersionShard is the format version of a shard snapshot: v2 plus a
-// trailing shard-identity section. WriteSnapshot selects it automatically
-// for engines with a shard identity (WithShard).
-const SnapshotVersionShard = 3
-
-// WriteSnapshot serializes the engine's preprocessed state to w. Engines
-// carrying a shard identity write format v3 (the identity travels with the
-// data so a daemon booting from the file serves the right answer slice);
-// unsharded engines write v2, byte-identical to previous releases.
+// WriteSnapshot serializes the engine's preprocessed state to w.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := snapio.NewWriter(bw)
 	sw.Raw(snapshotMagic[:])
-	if e.shardCount > 1 {
-		sw.U32(SnapshotVersionShard)
-	} else {
-		sw.U32(SnapshotVersion)
-	}
+	sw.U32(SnapshotVersion)
 	if err := e.g.AppendSnapshot(sw); err != nil {
 		return err
 	}
 	if err := e.store.AppendSnapshot(sw); err != nil {
 		return err
 	}
-	if e.shardCount > 1 {
-		sw.U32(uint32(e.shardIndex))
-		sw.U32(uint32(e.shardCount))
-		sw.String(topk.ShardScheme)
-	}
 	sw.RawU32(sw.Sum32())
 	if err := sw.Err(); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// checkSnapshotVersion validates the version word of a snapshot stream and
-// reports whether a shard section follows the store section.
-func checkSnapshotVersion(v uint32) (sharded bool, err error) {
-	switch v {
-	case SnapshotVersion:
-		return false, nil
-	case SnapshotVersionShard:
-		return true, nil
-	}
-	return false, fmt.Errorf("%w: file is v%d, this binary reads v%d/v%d",
-		snapio.ErrVersion, v, SnapshotVersion, SnapshotVersionShard)
-}
-
-// readShardSection decodes and validates the v3 shard-identity section.
-func readShardSection(sr snapio.Source) (index, count int, err error) {
-	index = int(sr.U32())
-	count = int(sr.U32())
-	scheme := sr.String()
-	if err := sr.Err(); err != nil {
-		return 0, 0, err
-	}
-	if scheme != topk.ShardScheme {
-		return 0, 0, fmt.Errorf("%w: shard scheme %q, this binary merges %q",
-			snapio.ErrCorrupt, scheme, topk.ShardScheme)
-	}
-	if count < 2 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("%w: shard identity %d/%d", snapio.ErrCorrupt, index, count)
-	}
-	return index, count, nil
 }
 
 // ReadSnapshot deserializes an engine from r, verifying the checksum before
@@ -137,12 +80,10 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 	if magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: got % x", snapio.ErrBadMagic, magic[:])
 	}
-	sharded, err := checkSnapshotVersion(sr.U32())
-	if sr.Err() != nil {
+	if v := sr.U32(); sr.Err() != nil {
 		return nil, sr.Err()
-	}
-	if err != nil {
-		return nil, err
+	} else if v != SnapshotVersion {
+		return nil, fmt.Errorf("%w: file is v%d, this binary reads v%d", snapio.ErrVersion, v, SnapshotVersion)
 	}
 	g, err := graph.ReadSnapshot(sr)
 	if err != nil {
@@ -151,12 +92,6 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 	store, err := storage.ReadSnapshot(sr)
 	if err != nil {
 		return nil, err
-	}
-	var shardIndex, shardCount int
-	if sharded {
-		if shardIndex, shardCount, err = readShardSection(sr); err != nil {
-			return nil, err
-		}
 	}
 	want := sr.Sum32()
 	got := sr.RawU32()
@@ -171,8 +106,7 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: data after checksum trailer", snapio.ErrCorrupt)
 	}
-	e := &Engine{g: g, store: store, stats: stats.New(store),
-		shardIndex: shardIndex, shardCount: shardCount}
+	e := &Engine{g: g, store: store, stats: stats.New(store)}
 	e.info = BuildInfo{Duration: time.Since(start), Shards: 1, FromSnapshot: true}
 	return e, nil
 }
@@ -276,12 +210,10 @@ func parseMapped(m *snapio.Map) (*Engine, error) {
 	if magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: got % x", snapio.ErrBadMagic, magic[:])
 	}
-	sharded, err := checkSnapshotVersion(sr.U32())
-	if sr.Err() != nil {
+	if v := sr.U32(); sr.Err() != nil {
 		return nil, sr.Err()
-	}
-	if err != nil {
-		return nil, err
+	} else if v != SnapshotVersion {
+		return nil, fmt.Errorf("%w: file is v%d, this binary reads v%d", snapio.ErrVersion, v, SnapshotVersion)
 	}
 	// Verify the trailer before building any borrowed view. ChecksumFile
 	// reads the file with plain read(2), never through the mapping, so the
@@ -301,12 +233,6 @@ func parseMapped(m *snapio.Map) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var shardIndex, shardCount int
-	if sharded {
-		if shardIndex, shardCount, err = readShardSection(sr); err != nil {
-			return nil, err
-		}
-	}
 	sr.RawU32() // CRC trailer, already verified above
 	if err := sr.Err(); err != nil {
 		return nil, err
@@ -320,6 +246,5 @@ func parseMapped(m *snapio.Map) (*Engine, error) {
 	if aStart, aEnd := g.AdjacencyRange(); aEnd > aStart {
 		_ = m.Advise(int(aStart), int(aEnd-aStart))
 	}
-	return &Engine{g: g, store: store, stats: stats.New(store), m: m,
-		shardIndex: shardIndex, shardCount: shardCount}, nil
+	return &Engine{g: g, store: store, stats: stats.New(store), m: m}, nil
 }

@@ -32,12 +32,24 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err := eng.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
+	if v := buf.Bytes()[8]; v != SnapshotVersion {
+		t.Fatalf("snapshot version = %d, want %d", v, SnapshotVersion)
+	}
 	loaded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	if !loaded.Info().FromSnapshot {
 		t.Error("loaded engine does not report FromSnapshot")
+	}
+	// Re-snapshotting the loaded engine reproduces the bytes exactly: the
+	// format is stable across a load/write cycle.
+	var again bytes.Buffer
+	if err := loaded.WriteSnapshot(&again); err != nil {
+		t.Fatalf("WriteSnapshot of loaded engine: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("re-snapshotting the loaded engine changed the bytes")
 	}
 	q := ds.MustQuery("F1")
 	tuple, err := ds.Tuple(q.QueryTuple())
@@ -113,12 +125,27 @@ func TestSnapshotBadMagic(t *testing.T) {
 	}
 }
 
+// TestSnapshotWrongVersion: any version but SnapshotVersion fails with
+// ErrVersion on both loaders — including v3, the retired shard-snapshot
+// format, so a leftover shard file is refused rather than misread.
 func TestSnapshotWrongVersion(t *testing.T) {
 	_, raw := snapshotEngine(t)
-	bad := bytes.Clone(raw)
-	bad[8] = 99 // version field is the u32 after the 8-byte magic
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, snapio.ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+	for _, v := range []byte{3, 99} {
+		bad := bytes.Clone(raw)
+		bad[8] = v // version field is the u32 after the 8-byte magic
+		if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, snapio.ErrVersion) {
+			t.Errorf("v%d: ReadSnapshot err = %v, want ErrVersion", v, err)
+		}
+		path := filepath.Join(t.TempDir(), "kg.snap")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err := OpenSnapshotMapped(path); !errors.Is(err, snapio.ErrVersion) {
+			if eng != nil {
+				eng.Close()
+			}
+			t.Errorf("v%d: OpenSnapshotMapped err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 

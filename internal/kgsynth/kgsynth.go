@@ -1,6 +1,6 @@
 // Package kgsynth generates the synthetic knowledge graphs this repository
 // substitutes for the Freebase and DBpedia dumps the paper evaluates on
-// (multi-GB downloads, unavailable offline — see DESIGN.md). Two generators
+// (multi-GB downloads, unavailable offline). Two generators
 // are provided:
 //
 //   - Freebase: a people/companies/places/products graph carrying the

@@ -279,6 +279,46 @@ func TestRequestIDsUnique(t *testing.T) {
 	}
 }
 
+// TestRequestIDAdopted: a valid inbound X-Request-ID (as a proxy or load
+// balancer sets it) is adopted by the query, batch and explain endpoints,
+// and reaches the explain payload; an invalid one is replaced by a minted
+// ID, never echoed.
+func TestRequestIDAdopted(t *testing.T) {
+	s := newTestServer(t, Config{})
+	send := func(path, body, id string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-ID", id)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		return w
+	}
+	const query = `{"tuple":["Jerry Yang","Yahoo!"],"k":3}`
+	for _, c := range []struct{ path, body string }{
+		{"/v1/query", query},
+		{"/v1/query:batch", `{"queries":[` + query + `]}`},
+		{"/v1/query:explain", query},
+	} {
+		w := send(c.path, c.body, "lb-req.42")
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", c.path, w.Code, w.Body.String())
+		}
+		if got := w.Header().Get("X-Request-ID"); got != "lb-req.42" {
+			t.Errorf("%s: X-Request-ID = %q, want the adopted inbound ID", c.path, got)
+		}
+		if c.path == "/v1/query:explain" {
+			if got := decodeExplain(t, w).RequestID; got != "lb-req.42" {
+				t.Errorf("explain request_id = %q, want the adopted inbound ID", got)
+			}
+		}
+		for _, bad := range []string{"bad id with spaces", strings.Repeat("x", 65)} {
+			if got := send(c.path, c.body, bad).Header().Get("X-Request-ID"); got == "" || got == bad {
+				t.Errorf("%s: invalid inbound ID %q gave X-Request-ID %q, want a minted one", c.path, bad, got)
+			}
+		}
+	}
+}
+
 func TestExplainMethodNotAllowed(t *testing.T) {
 	s := newTestServer(t, Config{})
 	req := httptest.NewRequest(http.MethodGet, "/v1/query:explain", nil)
