@@ -90,6 +90,8 @@ func main() {
 		slowQueryMS   = flag.Int("slow-query-ms", 0, "log a structured slow-query record (full span breakdown) for requests slower than this many milliseconds; 0 disables")
 
 		buildShards   = flag.Int("build-shards", 0, "concurrent workers for the offline store build (0 = GOMAXPROCS, 1 = sequential)")
+		shardIndex    = flag.Int("shard-index", 0, "this daemon's answer-space shard index in a fleet of -shard-count")
+		shardCount    = flag.Int("shard-count", 0, "fleet shard count; 0/1 = unsharded. Each shard runs the full search and keeps only the answers it owns; a gqberouter in front merges them bit-identically")
 		snapshotPath  = flag.String("snapshot", "", "binary engine snapshot path: loaded instead of -graph when it exists")
 		snapshotWrite = flag.Bool("snapshot-write", false, "after building from -graph, write the engine snapshot to -snapshot")
 		snapshotMmap  = flag.Bool("snapshot-mmap", false, "open -snapshot memory-mapped zero-copy (O(sections) startup, pages shared with the page cache) instead of decoding it onto the heap; falls back to the heap loader, then -graph, if mapping fails")
@@ -128,6 +130,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("gqbed: %v", err)
 	}
+	eng, err = eng.WithShard(*shardIndex, *shardCount)
+	if err != nil {
+		log.Fatalf("gqbed: %v", err)
+	}
 	info := eng.BuildInfo()
 	how := fmt.Sprintf("built (%d shards)", info.Shards)
 	if info.FromSnapshot {
@@ -138,6 +144,9 @@ func main() {
 	}
 	log.Printf("gqbed: %d entities, %d facts, %d predicates %s in %v",
 		eng.NumEntities(), eng.NumFacts(), eng.NumPredicates(), how, info.BuildTime.Round(time.Millisecond))
+	if i, n := eng.Shard(); n > 1 {
+		log.Printf("gqbed: serving answer-space shard %d of %d", i, n)
+	}
 
 	// The structured logger feeds slow-query and trace records; -trace drops
 	// the level to debug so per-query records are visible.
@@ -167,7 +176,12 @@ func main() {
 		// without a restart. A corrupt candidate is rejected by the loader
 		// and the serving engine stays untouched.
 		Reload: func() (*gqbe.Engine, error) {
-			return loadEngine(*graphPath, *snapshotPath, *buildShards, false, *snapshotMmap)
+			e, err := loadEngine(*graphPath, *snapshotPath, *buildShards, false, *snapshotMmap)
+			if err != nil {
+				return nil, err
+			}
+			// The reloaded engine keeps serving the same answer slice.
+			return e.WithShard(*shardIndex, *shardCount)
 		},
 		StaleServe:             *staleServe,
 		StaleTTL:               *staleTTL,

@@ -8,14 +8,11 @@
 // Usage:
 //
 //	gqberouter -shards http://10.0.0.1:8080,http://10.0.0.2:8080 [-addr :8090]
-//	gqberouter -shards ... -fleet fleet/fleet.json   # cross-check the manifest
 //
 // -shards lists the shard daemons' base URLs in shard-index order — the
-// order must match the fleet manifest cmd/kgshard wrote, because answer
-// ownership is by shard index. With -fleet the router loads the manifest and
-// refuses to start when the shard count disagrees, catching the most common
-// deployment mistake (a router pointed at half a fleet would silently drop
-// the other half's answers).
+// order must match each daemon's -shard-index, because answer ownership is
+// by shard index (a router pointed at half a fleet would silently drop the
+// other half's answers).
 //
 // Degraded mode: a slow or dead shard yields a 200 with "partial": true and
 // the missing shards named — never a 500. With -stale-serve, a query every
@@ -42,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"gqbe/internal/fleet"
 	"gqbe/internal/router"
 )
 
@@ -50,7 +46,6 @@ func main() {
 	var (
 		shards = flag.String("shards", "", "comma-separated shard base URLs in shard-index order (required)")
 		addr   = flag.String("addr", ":8090", "listen address")
-		fleetP = flag.String("fleet", "", "optional fleet.json manifest (from cmd/kgshard) to cross-check the shard count and scheme against")
 
 		timeout      = flag.Duration("timeout", 10*time.Second, "default per-query deadline")
 		maxTimeout   = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
@@ -73,19 +68,6 @@ func main() {
 	for i := range urls {
 		urls[i] = strings.TrimSpace(urls[i])
 	}
-	if *fleetP != "" {
-		m, err := fleet.Load(*fleetP)
-		if err != nil {
-			log.Fatalf("gqberouter: %v", err)
-		}
-		if len(m.Shards) != len(urls) {
-			log.Fatalf("gqberouter: manifest %s describes %d shards but -shards lists %d; "+
-				"a router fronting part of a fleet would silently drop the rest's answers",
-				*fleetP, len(m.Shards), len(urls))
-		}
-		log.Printf("gqberouter: manifest %s ok: %d shards, scheme %s", *fleetP, len(m.Shards), m.Scheme)
-	}
-
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	rt, err := router.New(router.Config{
 		Shards:         urls,

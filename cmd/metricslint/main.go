@@ -43,6 +43,7 @@ import (
 func main() {
 	metricsPath := flag.String("metrics", "", "Prometheus text exposition file to validate")
 	explainPath := flag.String("explain", "", "/v1/query:explain JSON response file to validate")
+	routerScrape := flag.Bool("router", false, "the -metrics file is a gqberouter scrape: require the gqbe_router_* fleet families instead of the daemon's")
 	flag.Parse()
 
 	if *metricsPath == "" && *explainPath == "" {
@@ -55,7 +56,11 @@ func main() {
 		if err != nil {
 			fatalf("metricslint: %v", err)
 		}
-		findings = append(findings, lintMetrics(f, gqbeRequiredFamilies)...)
+		required := gqbeRequiredFamilies
+		if *routerScrape {
+			required = routerRequiredFamilies
+		}
+		findings = append(findings, lintMetrics(f, required)...)
 		f.Close()
 	}
 	if *explainPath != "" {
@@ -93,6 +98,22 @@ var gqbeRequiredFamilies = []string{
 	"gqbe_reloads_total",
 	"gqbe_brownouts_total",
 	"gqbe_engine_generation",
+}
+
+// routerRequiredFamilies are the fleet-health families gqberouter's /metrics
+// contractually exposes (-router): the degraded-mode dashboards — partial
+// merges, shard errors, stale serving, trajectory-divergence alarms — go
+// blind if any of these disappears.
+var routerRequiredFamilies = []string{
+	"gqbe_router_requests_total",
+	"gqbe_router_outcomes_total",
+	"gqbe_router_fanout_total",
+	"gqbe_router_shard_errors_total",
+	"gqbe_router_partial_total",
+	"gqbe_router_stats_mismatch_total",
+	"gqbe_router_stale_served_total",
+	"gqbe_router_shard_latency_seconds",
+	"gqbe_router_shards",
 }
 
 // sample is one parsed exposition sample.

@@ -1,8 +1,17 @@
 package main
 
 import (
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"gqbe"
+	"gqbe/internal/router"
+	"gqbe/internal/server"
+	"gqbe/internal/testkg"
 )
 
 const goodExposition = `# HELP gqbe_requests_total Query requests received.
@@ -214,5 +223,64 @@ func TestLintExplainTruncated(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("findings %v do not flag node_evals beyond stats", fs)
+	}
+}
+
+// TestLintMetricsRouterScrape lints a LIVE gqberouter /metrics scrape against
+// the -router family contract: the gate and the router's exposition must
+// never drift apart, and the exposition must stay well-formed (histogram
+// invariants included) with real traffic behind the counters.
+func TestLintMetricsRouterScrape(t *testing.T) {
+	b := gqbe.NewBuilder()
+	for _, tr := range testkg.Fig1Triples() {
+		b.Add(tr[0], tr[1], tr[2])
+	}
+	eng, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	var shards []string
+	for i := 0; i < 2; i++ {
+		se, err := eng.WithShard(i, 2)
+		if err != nil {
+			t.Fatalf("WithShard: %v", err)
+		}
+		srv := httptest.NewServer(server.New(se, server.Config{Logger: quiet}))
+		defer srv.Close()
+		shards = append(shards, srv.URL)
+	}
+	rt, err := router.New(router.Config{Shards: shards, Logger: quiet})
+	if err != nil {
+		t.Fatalf("router.New: %v", err)
+	}
+	// Put real traffic behind the counters: a served query and an errored one.
+	for _, body := range []string{
+		`{"tuple":["Jerry Yang","Yahoo!"],"k":5}`,
+		`{"tuple":["Nobody Anybody","Yahoo!"],"k":5}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rt.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("/metrics status = %d", w.Code)
+	}
+	if fs := lintMetrics(strings.NewReader(w.Body.String()), routerRequiredFamilies); len(fs) != 0 {
+		t.Fatalf("findings on a live router scrape: %v", fs)
+	}
+	// The gate has teeth: a scrape missing a fleet family fails.
+	gutted := strings.ReplaceAll(w.Body.String(), "gqbe_router_partial_total", "gqbe_router_renamed_total")
+	fs := lintMetrics(strings.NewReader(gutted), routerRequiredFamilies)
+	found := false
+	for _, f := range fs {
+		if strings.Contains(f, "required family gqbe_router_partial_total") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("findings %v do not flag the dropped router family", fs)
 	}
 }

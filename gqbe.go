@@ -122,6 +122,13 @@ type Answer struct {
 	// Score is the answer's similarity score (Eq. 1/5 of the paper);
 	// higher is better. Scores are comparable within one result only.
 	Score float64
+	// Key is the answer's deterministic tie-break key (the tuple's node IDs
+	// in decimal, comma-joined). Equal-score answers are ordered by Key
+	// ascending, so re-merging ranked lists from engines built from the same
+	// input — a shard fleet — under (Score desc, Key asc) reproduces the
+	// single-engine order exactly. Keys are comparable only between engines
+	// built from the same input.
+	Key string
 }
 
 // Stats reports how a query was executed.
@@ -493,7 +500,32 @@ func (e *Engine) wrap(res *core.Result, withMQG bool) *Result {
 		out.MQG = e.mqgInfo(res.MQG)
 	}
 	for _, a := range res.Answers {
-		out.Answers = append(out.Answers, Answer{Entities: e.eng.AnswerNames(a), Score: a.Score})
+		out.Answers = append(out.Answers, Answer{
+			Entities: e.eng.AnswerNames(a),
+			Score:    a.Score,
+			Key:      topk.TupleKey(a.Tuple),
+		})
 	}
 	return out
 }
+
+// WithShard returns a copy of the engine that answers as shard index of a
+// count-shard fleet. The copy shares all graph data (nothing is duplicated);
+// its queries run the identical search but return only the answers whose
+// pivot entity this shard owns, so a fleet of count such engines — one per
+// index — partitions every result list, and merging the per-shard lists
+// under (Score desc, Key asc) reproduces the unsharded ranking bit for bit.
+// count <= 1 returns an unsharded copy; an index outside [0, count) errors.
+// Shard identity is a deployment property like Options.Parallelism, never a
+// per-query knob.
+func (e *Engine) WithShard(index, count int) (*Engine, error) {
+	eng, err := e.eng.WithShard(index, count)
+	if err != nil {
+		return nil, fmt.Errorf("gqbe: %w", err)
+	}
+	return &Engine{eng: eng}, nil
+}
+
+// Shard reports the engine's fleet shard identity; count is 0 for an
+// unsharded engine.
+func (e *Engine) Shard() (index, count int) { return e.eng.Shard() }

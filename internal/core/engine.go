@@ -153,6 +153,15 @@ type Engine struct {
 	// (OpenSnapshotMapped), nil for heap-built engines.
 	m      *snapio.Map
 	closed bool
+	// shardIndex/shardCount give the engine a fleet shard identity (see
+	// topk.Options.ShardIndex): searches run the identical full trajectory
+	// and keep only the answers this shard owns. Zero shardCount (or 1)
+	// means unsharded. Like SearchWorkers this is a per-process deployment
+	// property, set once at startup via WithShard, never per query — which
+	// is why it may live on the engine rather than in Options and why it is
+	// excluded from result-cache keys.
+	shardIndex int
+	shardCount int
 }
 
 // NewEngine preprocesses g sequentially.
@@ -213,6 +222,27 @@ func (e *Engine) Close() error {
 	e.m = nil
 	return m.Close()
 }
+
+// WithShard returns a shallow copy of e that answers queries as shard index
+// of a count-shard fleet: the copy shares the graph, store and statistics
+// (no data is duplicated) but its searches keep only answers whose pivot
+// entity hashes to index (topk.OwnerShard). count <= 1 returns an unsharded
+// copy. The copy shares the original's mapping lifetime — Close either one
+// and both dangle — so a process should close only the engine it serves.
+func (e *Engine) WithShard(index, count int) (*Engine, error) {
+	if count <= 1 {
+		index, count = 0, 0
+	} else if index < 0 || index >= count {
+		return nil, fmt.Errorf("core: shard index %d outside fleet of %d", index, count)
+	}
+	c := *e
+	c.shardIndex, c.shardCount = index, count
+	return &c, nil
+}
+
+// Shard reports the engine's fleet shard identity; count is 0 for an
+// unsharded engine.
+func (e *Engine) Shard() (index, count int) { return e.shardIndex, e.shardCount }
 
 // SetBuildDuration widens the recorded offline-phase duration to d — for
 // loaders whose work starts before NewEngineOpts (parsing triples,
@@ -346,6 +376,8 @@ func (e *Engine) searchMQG(ctx context.Context, m *mqg.MQG, exclude [][]graph.No
 		MaxEvaluations: opts.MaxEvaluations,
 		Parallelism:    opts.Parallelism,
 		Tracer:         tr,
+		ShardIndex:     e.shardIndex,
+		ShardCount:     e.shardCount,
 	})
 	ssp.End()
 	if tres == nil {

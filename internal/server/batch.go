@@ -69,9 +69,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.batchRequests.Add(1)
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-	// Batches get a request ID like every other endpoint (adopted from a
-	// proxy's X-Request-ID, minted otherwise) so a batch's log records
-	// correlate with the proxy's.
+	// Batches get a request ID like every other endpoint (adopted from the
+	// router when it fans a batch to shards, minted otherwise) so a batch's
+	// shard-side log records correlate with the fleet-level request.
 	w.Header().Set("X-Request-ID", s.requestID(r))
 
 	var req batchRequest

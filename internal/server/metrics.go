@@ -136,6 +136,14 @@ type statzFaults struct {
 	Brownouts       uint64       `json:"brownouts"`
 }
 
+// statzShard is the fleet identity section of a /statz snapshot, present
+// only on daemons serving one shard of a fleet: this engine keeps answers
+// for shard `index` of `count` (topk.OwnerShard assignment).
+type statzShard struct {
+	Index int `json:"index"`
+	Count int `json:"count"`
+}
+
 // statzSnapshot is the full /statz response body.
 type statzSnapshot struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
@@ -159,7 +167,10 @@ type statzSnapshot struct {
 	Engine        statzEngine  `json:"engine"`
 	Build         statzBuild   `json:"build"`
 	Search        statzSearch  `json:"search"`
-	Faults        statzFaults  `json:"faults"`
+	// Shard is the daemon's fleet shard identity; absent on unsharded
+	// daemons.
+	Shard  *statzShard `json:"shard,omitempty"`
+	Faults statzFaults `json:"faults"`
 	// Generation is the serving engine's hot-reload generation (1 at boot,
 	// +1 per successful reload).
 	Generation uint64 `json:"engine_generation"`

@@ -393,9 +393,9 @@ func (s *Server) nextRequestID() string {
 }
 
 // requestID resolves the request's ID: a valid inbound X-Request-ID header is
-// adopted (so the ID a proxy or load balancer assigned survives the hop and
-// the daemon's logs and explain traces correlate with the proxy's), anything
-// else gets a freshly minted one. The header is untrusted input, hence the
+// adopted (so a fleet router's ID survives the router→shard hop and the
+// shard's logs and explain traces correlate with the router's), anything else
+// gets a freshly minted one. The header is untrusted input, hence the
 // sanitizer: IDs land verbatim in log records and response headers.
 func (s *Server) requestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-ID"); validRequestID(id) {
@@ -508,6 +508,11 @@ type queryRequest struct {
 type answerJSON struct {
 	Entities []string `json:"entities"`
 	Score    float64  `json:"score"`
+	// Tie is the answer's deterministic tie-break key (gqbe.Answer.Key).
+	// Equal-score answers are ordered by it, so a scatter-gather router can
+	// re-merge per-shard rankings under (score desc, tie asc) and reproduce
+	// the single-node order exactly — scores alone cannot order ties.
+	Tie string `json:"tie,omitempty"`
 }
 
 // statsJSON mirrors gqbe.Stats with wire-friendly units.
@@ -541,6 +546,13 @@ type queryResponse struct {
 	// candidate list and evaluation budget): correct as far as it goes, but
 	// possibly missing answers a full search would have ranked.
 	BrownedOut bool `json:"browned_out,omitempty"`
+	// Partial marks a fleet answer merged without every shard: the listed
+	// shards failed or timed out, so answers they own are absent from the
+	// ranking. Single-node servers never set these; only the router
+	// (internal/router) does, and it returns such answers as 200s — a
+	// degraded ranking is an answer, not an error.
+	Partial bool     `json:"partial,omitempty"`
+	Missing []string `json:"missing_shards,omitempty"`
 }
 
 // Request-validation sentinels. normalize's errors cross the server
@@ -1219,7 +1231,7 @@ func toStatsJSON(res *gqbe.Result) statsJSON {
 func toAnswersJSON(res *gqbe.Result) []answerJSON {
 	out := make([]answerJSON, 0, len(res.Answers))
 	for _, a := range res.Answers {
-		out = append(out, answerJSON{Entities: a.Entities, Score: a.Score})
+		out = append(out, answerJSON{Entities: a.Entities, Score: a.Score, Tie: a.Key})
 	}
 	return out
 }
@@ -1301,5 +1313,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}, statzSearch{
 		Workers: s.cfg.SearchWorkers,
 	}, fault.Injected(), eg.gen)
+	if index, count := eg.eng.Shard(); count > 1 {
+		snap.Shard = &statzShard{Index: index, Count: count}
+	}
 	writeJSON(w, http.StatusOK, snap)
 }

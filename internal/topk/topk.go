@@ -52,6 +52,21 @@ type Options struct {
 	// recorded by the coordinator in pop order. Like Parallelism it must be
 	// excluded from result-cache keys.
 	Tracer *obs.Tracer
+	// ShardIndex/ShardCount partition the ANSWER SPACE across a fleet of
+	// engines that each hold the full graph: a search with ShardCount > 1
+	// runs the identical full trajectory (same frontier pops, same absorb
+	// state, same termination point, same counters) and applies ownership
+	// only between the two ranking stages — after the stage-1 k′ cut, tuples
+	// not owned by this shard (see OwnerShard) are dropped, and stage 2 ranks
+	// the owned remainder. Because the stage-1 pool is identical on every
+	// shard and each pool member is owned by exactly one shard, the k-way
+	// merge of the per-shard top-k lists under (Score desc, tie-key asc)
+	// reconstructs the unsharded top-k bit for bit (oracle-tested in
+	// shard_test.go and internal/router). ShardCount <= 1 disables the
+	// filter. Like Parallelism, shard identity is a per-process deployment
+	// property, never a client knob, and is excluded from result-cache keys.
+	ShardIndex int
+	ShardCount int
 }
 
 // Fill makes the default option values explicit in place. Exported so
@@ -157,6 +172,34 @@ func tupleKey(t []graph.NodeID) string {
 		fmt.Fprintf(&b, "%d", v)
 	}
 	return b.String()
+}
+
+// TupleKey renders an answer tuple as its deterministic tie-break key: the
+// node IDs in decimal, comma-joined. rank orders equal-score answers by this
+// key ascending, so a fleet router that re-merges per-shard rankings under
+// (Score desc, TupleKey asc) reproduces the single-engine order exactly.
+// Keys are comparable only between engines built from the same input (node
+// IDs are assigned in load order).
+func TupleKey(t []graph.NodeID) string { return tupleKey(t) }
+
+// OwnerShard maps an answer tuple's pivot (first) entity to the shard that
+// owns the tuple in an answer-space-sharded fleet: SplitMix64 of the node ID
+// modulo the shard count. The finalizer spreads the sequentially assigned
+// node IDs uniformly, so shard loads balance even though IDs cluster by
+// load order. count must be >= 1.
+func OwnerShard(pivot graph.NodeID, count int) int {
+	return int(splitmix64(uint64(pivot)) % uint64(count))
+}
+
+// splitmix64 is the SplitMix64 finalizer (same mixer internal/fault uses for
+// its seeded coin flips): stateless, well-mixed, and stable across releases —
+// every daemon of a fleet and its router must agree on shard assignment, so
+// this function must never change.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // candidate tracks the best scores seen for one answer tuple.
@@ -681,6 +724,21 @@ func (s *searcher) rank() []Answer {
 	})
 	if len(all) > s.opts.KPrime {
 		all = all[:s.opts.KPrime]
+	}
+	// Answer-space sharding cuts here and ONLY here: the stage-1 pool above
+	// is identical on every shard of a fleet (the search trajectory never
+	// consults shard identity — filtering any earlier, e.g. at absorb time,
+	// would change kthBestSScore and so the termination point), and each pool
+	// member is owned by exactly one shard, so the per-shard stage-2 top-k
+	// lists partition the unsharded pool and merge losslessly.
+	if s.opts.ShardCount > 1 {
+		kept := all[:0]
+		for _, r := range all {
+			if OwnerShard(r.c.tuple[0], s.opts.ShardCount) == s.opts.ShardIndex {
+				kept = append(kept, r)
+			}
+		}
+		all = kept
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c.bestFull != all[j].c.bestFull {
